@@ -3,7 +3,7 @@
 Measures the quantities this PR's acceptance criteria pin:
 
 * **blocks/s per kernel x engine** — the five paper SSAM kernels through
-  the scalar (per-block loop), batched (vectorized multi-block) and replay
+  the scalar (one block per batch), batched (vectorized multi-block) and replay
   (compiled trace) engines, on paper-scale domains with grid sampling to
   bound wall-clock.  Replay is timed cold (record + compile + run) and
   warm (cached program, memoized counters); the headline pin is warm
@@ -156,7 +156,7 @@ def measure_throughput(quick: bool) -> Dict[str, object]:
                 cold_result.launch.blocks_executed / cold_seconds, 1),
         }
         engines["replay"] = _rate(run, "replay", repeats)
-        # the per-block loop is orders of magnitude slower: sample a
+        # one-block batches are orders of magnitude slower: sample a
         # smaller grid so the artifact stays cheap (blocks/s is a rate,
         # sampling does not change it materially)
         engines["scalar"] = _rate(run, 1, 1,

@@ -48,8 +48,8 @@ MODERN_POSITIVE_MIN_EXTENT = 6
 CLAIM_MAX_EXTENT = 21
 QUICK_CLAIM_MAX_EXTENT = 9
 
-#: functional engine the model predictions are validated against (the
-#: scalar engine is bit-identical, so one reference suffices)
+#: functional engine the model predictions are validated against (one-block
+#: batches, the scalar engine, are bit-identical, so one reference suffices)
 REFERENCE_ENGINE = "batched"
 #: problem size of the cross-engine cells; --quick shrinks it
 CROSS_SIZE = "small"

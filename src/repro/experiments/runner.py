@@ -163,13 +163,15 @@ def submit_main(argv: Optional[Sequence[str]] = None) -> int:
     explicit ``--url``).  ``--wait`` blocks until the run is terminal and
     renders the typed result exactly like the batch CLI would.
     """
+    from ..errors import ConfigurationError
     from ..service.client import ServiceClient
 
     parser = argparse.ArgumentParser(
         prog="ssam-repro submit",
         description="Submit a sweep or tuning run to a running ssam-repro service")
     parser.add_argument("--matrix", default=None, metavar="SPEC",
-                        help="sweep matrix preset name or JSON file path")
+                        help="sweep matrix preset name or JSON file path "
+                             "(a file is read here and sent as an object)")
     parser.add_argument("--tune", action="store_true",
                         help="submit a launch-config tuning run instead of a sweep")
     parser.add_argument("--quick", action="store_true",
@@ -197,6 +199,13 @@ def submit_main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error("--tune cannot be combined with --matrix/--refresh")
     if args.quick and not args.tune:
         parser.error("--quick requires --tune")
+    matrix = args.matrix
+    if matrix is not None and matrix not in _sweep_module().MATRICES:
+        # the service never opens client-named paths: send the file's object
+        try:
+            matrix = _sweep_module().load_matrix(matrix)
+        except ConfigurationError as exc:
+            parser.error(str(exc))
     if args.url is not None:
         client = ServiceClient(args.url)
     else:
@@ -205,9 +214,9 @@ def submit_main(argv: Optional[Sequence[str]] = None) -> int:
         run = client.submit_tune({"quick": args.quick},
                                  priority=args.priority)
     elif args.refresh:
-        run = client.refresh(args.matrix, priority=args.priority)
+        run = client.refresh(matrix, priority=args.priority)
     else:
-        run = client.submit_sweep(args.matrix, priority=args.priority)
+        run = client.submit_sweep(matrix, priority=args.priority)
     run_id = run["run_id"]
     print(f"submitted {run_id}: {run.get('cached', 0)} cached, "
           f"{run.get('queued', '?')} queued", file=sys.stderr)

@@ -2,10 +2,10 @@
 
 This subpackage stands in for the CUDA toolkit + Tesla hardware used in the
 paper.  Kernels written against :class:`~repro.gpu.block.BlockContext` are
-functionally executed (lane-vectorised with NumPy) while every warp
-instruction and memory transaction is counted; the analytical model in
-:mod:`repro.gpu.profiler` then converts the counts into execution-time
-estimates for the architecture presets of Table 1.
+functionally executed (batches of blocks, lane-vectorised with NumPy) while
+every warp instruction and memory transaction is counted; the analytical
+model in :mod:`repro.gpu.profiler` then converts the counts into
+execution-time estimates for the architecture presets of Table 1.
 """
 
 from .architecture import (
@@ -18,12 +18,6 @@ from .architecture import (
     TESLA_V100,
     get_architecture,
     table1_rows,
-)
-from .batch import (
-    BatchedBlockContext,
-    BatchedSharedArray,
-    BatchedSharedMemory,
-    BatchedTrafficTracker,
 )
 from .block import BlockContext
 from .counters import KernelCounters, merge_counters
@@ -38,9 +32,9 @@ from .kernel import (
 )
 from .latency import LatencyTable, ThroughputTable
 from .memory import (
+    BatchedTrafficTracker,
     DeviceBuffer,
     GlobalMemory,
-    coalesced_transactions,
     coalesced_transactions_matrix,
     rowwise_unique_counts,
     rowwise_unique_pad,
@@ -54,7 +48,7 @@ from .register_file import (
     register_cache_capacity,
     registers_for_cache,
 )
-from .shared_memory import SharedMemory, bank_conflict_degree, bank_conflict_profile
+from .shared_memory import SharedArray, SharedMemory, bank_conflict_profile
 from .warp import Warp, ballot, shfl_down, shfl_idx, shfl_up, shfl_xor
 
 __all__ = [
@@ -67,10 +61,6 @@ __all__ = [
     "TESLA_V100",
     "get_architecture",
     "table1_rows",
-    "BatchedBlockContext",
-    "BatchedSharedArray",
-    "BatchedSharedMemory",
-    "BatchedTrafficTracker",
     "BlockContext",
     "KernelCounters",
     "merge_counters",
@@ -83,9 +73,9 @@ __all__ = [
     "kernel",
     "LatencyTable",
     "ThroughputTable",
+    "BatchedTrafficTracker",
     "DeviceBuffer",
     "GlobalMemory",
-    "coalesced_transactions",
     "coalesced_transactions_matrix",
     "rowwise_unique_counts",
     "rowwise_unique_pad",
@@ -101,8 +91,8 @@ __all__ = [
     "allocate_registers",
     "register_cache_capacity",
     "registers_for_cache",
+    "SharedArray",
     "SharedMemory",
-    "bank_conflict_degree",
     "bank_conflict_profile",
     "Warp",
     "ballot",

@@ -13,32 +13,26 @@ Two execution modes are supported:
   for paper-scale grids (used by the benchmark harness when a closed-form
   traffic profile is not available).
 
-Either mode runs on one of two engines:
-
-* **batched** (the default, ``batch_size="auto"``) — large chunks of the
-  grid execute as one vectorized pass through
-  :class:`~repro.gpu.batch.BatchedBlockContext`, with all coalescing /
-  unique-line / bank-conflict accounting computed by segmented NumPy
-  reductions instead of per-warp Python loops;
-* **legacy** (``batch_size=1``) — one
-  :class:`~repro.gpu.block.BlockContext` per block in a Python loop, kept
-  for differential testing of the batched engine.
-
-Both engines produce bit-identical outputs and identical counters.
+Either mode executes the grid in chunks of ``batch_size`` blocks, each
+chunk one vectorized pass through a
+:class:`~repro.gpu.block.BlockContext`, with all coalescing / unique-line /
+bank-conflict accounting computed by segmented NumPy reductions.
+``batch_size="auto"`` (the default) bounds a chunk by a memory budget;
+``batch_size=1`` runs one block per chunk.  Outputs and counters are
+bit-identical for every chunk size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..dtypes import Precision, resolve_precision
 from ..errors import ConfigurationError, LaunchError
 from .architecture import GPUArchitecture, get_architecture
-from .batch import BatchedBlockContext
 from .block import BlockContext
 from .counters import KernelCounters
 from .occupancy import OccupancyResult, compute_occupancy
@@ -242,8 +236,8 @@ class Kernel:
         batch_size:
             Blocks executed per vectorized batch.  ``"auto"`` (default)
             bounds the batch by a memory budget (:func:`auto_batch_size`);
-            ``1`` selects the legacy per-block loop, which produces
-            bit-identical results and counters.  ``"replay"`` records the
+            any positive int fixes it (``1`` runs one block per batch);
+            results and counters do not depend on it.  ``"replay"`` records the
             kernel body once as a dataflow trace and executes subsequent
             chunks through the compiled replay engine
             (:mod:`repro.trace.replay`), bit-identical to ``"auto"``.
@@ -261,45 +255,33 @@ class Kernel:
                 f"{arch.warp_size}"
             )
         counters = KernelCounters()
-        block_indices = list(_iter_blocks(config.grid_dim))
-        total_blocks = len(block_indices)
+        gx, gy, _ = config.grid_dim
+        total_blocks = config.total_blocks
+        # linear block order: x fastest, then y, then z
+        order = np.arange(total_blocks, dtype=np.int64)
         sampled = False
         if max_blocks is not None and max_blocks < total_blocks:
             stride = max(1, total_blocks // max_blocks)
-            block_indices = block_indices[::stride][:max_blocks]
+            order = order[::stride][:max_blocks]
             sampled = True
-        chunk = _resolve_batch_size(batch_size, config, len(block_indices))
+        index_matrix = np.stack([order % gx, (order // gx) % gy,
+                                 order // (gx * gy)], axis=1)
+        chunk = _resolve_batch_size(batch_size, config, len(order))
         executed = 0
-        if chunk <= 1:
-            for block_idx in block_indices:
-                ctx = BlockContext(
-                    block_idx=block_idx,
-                    grid_dim=config.grid_dim,
-                    block_threads=config.block_threads,
-                    architecture=arch,
-                    counters=counters,
-                    precision=config.precision,
-                    count_traffic=count_traffic,
-                )
-                self.func(ctx, *args)
-                ctx.finalize()
-                executed += 1
-        else:
-            index_matrix = np.asarray(block_indices, dtype=np.int64).reshape(-1, 3)
-            for start in range(0, index_matrix.shape[0], chunk):
-                batch = index_matrix[start:start + chunk]
-                ctx = BatchedBlockContext(
-                    block_indices=batch,
-                    grid_dim=config.grid_dim,
-                    block_threads=config.block_threads,
-                    architecture=arch,
-                    counters=counters,
-                    precision=config.precision,
-                    count_traffic=count_traffic,
-                )
-                self.func(ctx, *args)
-                ctx.finalize()
-                executed += int(batch.shape[0])
+        for start in range(0, index_matrix.shape[0], chunk):
+            batch = index_matrix[start:start + chunk]
+            ctx = BlockContext(
+                block_indices=batch,
+                grid_dim=config.grid_dim,
+                block_threads=config.block_threads,
+                architecture=arch,
+                counters=counters,
+                precision=config.precision,
+                count_traffic=count_traffic,
+            )
+            self.func(ctx, *args)
+            ctx.finalize()
+            executed += int(batch.shape[0])
         sample_fraction = executed / total_blocks if total_blocks else 1.0
         if sampled and sample_fraction > 0:
             counters = counters.scaled(1.0 / sample_fraction)
@@ -312,14 +294,6 @@ class Kernel:
             sampled=sampled,
             sample_fraction=sample_fraction,
         )
-
-
-def _iter_blocks(grid_dim: Tuple[int, int, int]) -> Iterable[Tuple[int, int, int]]:
-    gx, gy, gz = grid_dim
-    for bz in range(gz):
-        for by in range(gy):
-            for bx in range(gx):
-                yield (bx, by, bz)
 
 
 def kernel(func: Callable[..., None]) -> Kernel:

@@ -135,20 +135,6 @@ class GlobalMemory:
         return buffer
 
 
-def coalesced_transactions(flat_indices: np.ndarray, itemsize: int,
-                           line_bytes: int = 128) -> int:
-    """Number of memory sectors touched by one warp-level access.
-
-    A fully coalesced access of 32 contiguous 4-byte words touches a single
-    128-byte sector; strided or scattered accesses touch more.  Inactive
-    lanes must be filtered out by the caller.
-    """
-    if flat_indices.size == 0:
-        return 0
-    lines = (flat_indices.astype(np.int64) * itemsize) // line_bytes
-    return int(np.unique(lines).size)
-
-
 _SENTINEL = np.iinfo(np.int64).max
 
 
@@ -227,40 +213,107 @@ def coalesced_transactions_matrix(flat_indices: np.ndarray, itemsize: int,
                                   mask: Optional[np.ndarray] = None) -> int:
     """Total sectors touched by a matrix of warp accesses (one warp per row).
 
-    Equivalent to summing :func:`coalesced_transactions` over the rows with
-    inactive lanes filtered by ``mask``, but computed in one vectorised pass.
+    A row's sector count is the number of distinct ``line_bytes`` lines its
+    active lanes (``mask``) touch: a fully coalesced warp of 32 contiguous
+    4-byte words touches one 128-byte sector, strided or scattered accesses
+    touch more.
     """
     lines = (np.asarray(flat_indices, dtype=np.int64) * itemsize) // line_bytes
     return int(rowwise_unique_counts(lines, mask).sum())
 
 
-class BlockTrafficTracker:
-    """Tracks the unique global-memory lines read by one thread block.
+class BatchedTrafficTracker:
+    """Per-block unique-line DRAM read accounting for a batch of blocks.
 
-    ``finalize`` converts the touched-line sets into DRAM bytes according to
-    the perfect-intra-block-reuse policy described in the module docstring.
-    Only *reads* are tracked — write traffic is charged directly per store
-    (see the module docstring).
+    Records the ``(batch, lanes)`` cache-line matrices of every counted load
+    and computes each block's unique-line count with segmented sorts; the
+    DRAM read bytes follow the perfect-intra-block-reuse policy of the
+    module docstring (only reads are tracked).
+
+    Memory is bounded: whenever a buffer's pending matrices exceed
+    ``compact_columns`` columns they are folded into a sentinel-padded
+    per-block unique-line matrix (:func:`rowwise_unique_pad`),
+    whose width is the per-block working set (tile + halo lines) rather than
+    the total number of recorded accesses.  Kernels with many counted loads
+    per block therefore hold O(batch * (compact_columns + unique_lines))
+    instead of O(batch * threads * loads).
+
+    Compaction *work* is bounded too.  Folding into a single compact matrix
+    would re-sort the whole accumulated working set on every fold — on an
+    adversarial pattern where every load touches fresh lines (zero reuse,
+    so the working set never stops growing) that is quadratic in the number
+    of recorded columns.  Instead, folds append *segments* that merge
+    size-tiered, LSM style: a segment is only merged into its neighbour
+    when it has grown to a comparable width, so each recorded column is
+    re-sorted O(log columns) times and total compaction work is
+    O(columns * log columns) with O(log columns) live segments.
+    ``compaction_work`` counts the cells every fold/merge sorts — the
+    regression benchmark pins its growth on the adversarial pattern.
     """
 
-    def __init__(self, line_bytes: int = 128) -> None:
-        self.line_bytes = line_bytes
-        self._read_lines: Dict[int, List[np.ndarray]] = {}
+    #: pending columns per buffer before folding into the compact form
+    COMPACT_COLUMNS = 1024
+    #: a segment at least this many times wider than the one folded after
+    #: it is left alone; smaller neighbours merge (amortization factor)
+    MERGE_FACTOR = 2
 
-    def record_read(self, buffer: DeviceBuffer, flat_indices: np.ndarray) -> None:
+    def __init__(self, num_blocks: int, line_bytes: int = 128,
+                 compact_columns: Optional[int] = None) -> None:
+        self.num_blocks = int(num_blocks)
+        self.line_bytes = line_bytes
+        self.compact_columns = int(compact_columns or self.COMPACT_COLUMNS)
+        self._pending: Dict[int, List[np.ndarray]] = {}
+        self._pending_columns: Dict[int, int] = {}
+        #: per-buffer compacted segments, widest first
+        self._segments: Dict[int, List[np.ndarray]] = {}
+        #: total cells (rows x columns) sorted by folds and merges
+        self.compaction_work: int = 0
+
+    def record_read(self, buffer: DeviceBuffer, lines: np.ndarray,
+                    mask: Optional[np.ndarray]) -> None:
+        """Record one load's line matrix (``mask`` marks the active lanes)."""
         if buffer.cached:
             return
-        lines = (flat_indices.astype(np.int64) * buffer.itemsize) // self.line_bytes
-        self._read_lines.setdefault(buffer.buffer_id, []).append(lines)
+        chunk = np.where(mask, lines, _SENTINEL) if mask is not None \
+            else np.ascontiguousarray(lines)
+        key = buffer.buffer_id
+        self._pending.setdefault(key, []).append(chunk)
+        self._pending_columns[key] = self._pending_columns.get(key, 0) + chunk.shape[1]
+        if self._pending_columns[key] >= self.compact_columns:
+            self._fold(key)
+
+    def _unique(self, chunks: List[np.ndarray]) -> np.ndarray:
+        stacked = chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=1)
+        self.compaction_work += stacked.size
+        return rowwise_unique_pad(stacked)
+
+    def _fold(self, key: int) -> None:
+        """Compact the pending run into a new segment; merge size tiers."""
+        chunks = self._pending.pop(key, [])
+        self._pending_columns[key] = 0
+        if not chunks:
+            return
+        segments = self._segments.setdefault(key, [])
+        segments.append(self._unique(chunks))
+        # size-tiered merge: fold the newest segment into its neighbour
+        # until the neighbour is comfortably wider (binary-counter style)
+        while (len(segments) >= 2 and segments[-2].shape[1]
+               < self.MERGE_FACTOR * segments[-1].shape[1]):
+            tail = segments.pop()
+            segments[-1] = self._unique([segments[-1], tail])
 
     def finalize(self) -> float:
-        """The block's DRAM read bytes (unique lines per touched buffer)."""
+        """Total DRAM read bytes: unique lines per block, summed over blocks."""
         total = 0
-        for chunks in self._read_lines.values():
-            if not chunks:
+        for key in set(self._pending) | set(self._segments):
+            self._fold(key)
+            segments = self._segments.get(key)
+            if not segments:
                 continue
-            lines = np.concatenate(chunks)
-            total += int(np.unique(lines).size) * self.line_bytes
+            compact = (segments[0] if len(segments) == 1
+                       else self._unique(segments))
+            self._segments[key] = [compact]
+            total += int((compact != _SENTINEL).sum()) * self.line_bytes
         return float(total)
 
 

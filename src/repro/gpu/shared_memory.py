@@ -22,60 +22,37 @@ from .memory import rowwise_sorted_firsts
 
 @dataclass
 class SharedArray:
-    """A named allocation inside a block's shared memory."""
+    """A named shared-memory allocation replicated across a batch of blocks.
+
+    ``array`` has shape ``(num_blocks, *shape)``: every block of the batch
+    owns an independent copy, exactly as each block owns its own scratchpad
+    on hardware.
+    """
 
     name: str
     array: np.ndarray
     offset_bytes: int
 
     @property
+    def num_blocks(self) -> int:
+        return int(self.array.shape[0])
+
+    @property
     def nbytes(self) -> int:
-        return int(self.array.nbytes)
+        """Bytes of one block's copy (what counts against the capacity)."""
+        return int(self.array.nbytes // max(1, self.num_blocks))
 
     @property
     def flat(self) -> np.ndarray:
-        return self.array.reshape(-1)
-
-
-def bank_conflict_degree(flat_indices: np.ndarray, itemsize: int,
-                         banks: int = 32, bank_bytes: int = 4) -> int:
-    """Worst-case serialisation factor of one warp shared-memory access.
-
-    Parameters
-    ----------
-    flat_indices:
-        Element indices accessed by the active lanes of one warp.
-    itemsize:
-        Element size in bytes (8-byte accesses occupy two banks each).
-
-    Returns
-    -------
-    int
-        1 for conflict-free or broadcast accesses, otherwise the maximum
-        number of distinct addresses that fall into one bank.
-    """
-    if flat_indices.size == 0:
-        return 0
-    addresses = flat_indices.astype(np.int64) * itemsize
-    unique_addresses = np.unique(addresses)
-    if unique_addresses.size == 1:
-        return 1  # broadcast
-    words = unique_addresses // bank_bytes
-    degree = 1
-    # 8-byte elements touch two consecutive banks; account for both words.
-    words_per_element = max(1, itemsize // bank_bytes)
-    for sub in range(words_per_element):
-        bank_ids = (words + sub) % banks
-        counts = np.bincount(bank_ids.astype(np.int64), minlength=banks)
-        degree = max(degree, int(counts.max()))
-    return degree
+        """Per-block flat view, shape ``(num_blocks, size)``."""
+        return self.array.reshape(self.array.shape[0], -1)
 
 
 def bank_conflict_profile(flat_indices: np.ndarray, itemsize: int,
                           banks: int = 32, bank_bytes: int = 4,
                           mask: Optional[np.ndarray] = None
                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised :func:`bank_conflict_degree` over a matrix of warp accesses.
+    """Bank-conflict serialisation of a matrix of warp accesses.
 
     Each row of ``flat_indices`` holds the element indices of one warp-level
     shared-memory access; ``mask`` (same shape) marks the active lanes.
@@ -83,10 +60,11 @@ def bank_conflict_profile(flat_indices: np.ndarray, itemsize: int,
     Returns
     -------
     (degrees, broadcasts, active_counts):
-        Per-row arrays.  ``degrees[r]`` equals
-        ``bank_conflict_degree(row_r_active, itemsize, banks, bank_bytes)``
-        (0 for rows with no active lane), ``broadcasts[r]`` is True when all
-        active lanes of the row read the same address, and
+        Per-row arrays.  ``degrees[r]`` is the worst per-bank count of
+        *distinct* addresses among the row's active lanes (1 for
+        conflict-free or broadcast rows, 0 for rows with no active lane;
+        8-byte elements occupy two consecutive banks), ``broadcasts[r]`` is
+        True when all active lanes of the row read the same address, and
         ``active_counts[r]`` is the number of active lanes.
     """
     idx = np.asarray(flat_indices, dtype=np.int64)
@@ -106,7 +84,7 @@ def bank_conflict_profile(flat_indices: np.ndarray, itemsize: int,
     broadcasts = unique_counts == 1
     degrees = (unique_counts > 0).astype(np.int64)
     # count distinct addresses per (row, bank); 8-byte elements occupy two
-    # consecutive banks, hence the sub-word loop (mirrors the scalar path)
+    # consecutive banks, hence the sub-word loop
     words = addresses // bank_bytes
     row_ids = np.broadcast_to(np.arange(rows)[:, None], addresses.shape)
     words_per_element = max(1, itemsize // bank_bytes)
@@ -119,53 +97,39 @@ def bank_conflict_profile(flat_indices: np.ndarray, itemsize: int,
 
 
 class SharedMemory:
-    """Shared-memory arena for one thread block."""
+    """Shared-memory arenas for a batch of thread blocks.
 
-    def __init__(self, capacity_bytes: int, banks: int = 32, bank_bytes: int = 4) -> None:
+    Capacity is checked per block; each named array is allocated once for
+    the batch with a leading block axis.
+    """
+
+    def __init__(self, num_blocks: int, capacity_bytes: int,
+                 banks: int = 32, bank_bytes: int = 4) -> None:
+        self.num_blocks = int(num_blocks)
         self.capacity_bytes = int(capacity_bytes)
         self.banks = banks
         self.bank_bytes = bank_bytes
         self._arrays: Dict[str, SharedArray] = {}
         self._used_bytes = 0
-        #: cumulative conflict-weighted access count (for the profiler)
-        self.access_count = 0.0
-        self.broadcast_count = 0.0
-        self.conflict_extra = 0.0
-        self.bytes_read = 0.0
-        self.bytes_written = 0.0
 
-    @property
-    def used_bytes(self) -> int:
-        """Bytes currently allocated in this block's scratchpad."""
-        return self._used_bytes
-
-    def _check_allocate(self, name: str, shape: Tuple[int, ...],
-                        precision: object):
-        """Validate a new named allocation before materializing any array.
-
-        Shared by the per-block and batched arenas so the capacity policy
-        cannot drift between the two engines.  Returns
-        ``(precision, bytes per block)``.
-        """
+    def allocate(self, name: str, shape: Tuple[int, ...],
+                 precision: object = "float32") -> SharedArray:
+        """Allocate a named shared array (like ``__shared__ T name[...]``)
+        in every block of the batch."""
         if name in self._arrays:
             raise SimulationError(f"shared array {name!r} already allocated")
         prec = resolve_precision(precision)
         per_block = int(np.prod(shape, dtype=np.int64)) * prec.itemsize
+        # per-block capacity is validated before materializing the batch copies
         if self._used_bytes + per_block > self.capacity_bytes:
             raise ResourceExhaustedError(
                 f"shared memory exhausted: {self._used_bytes + per_block} bytes "
                 f"requested, {self.capacity_bytes} available per block"
             )
-        return prec, per_block
-
-    def allocate(self, name: str, shape: Tuple[int, ...],
-                 precision: object = "float32") -> SharedArray:
-        """Allocate a named shared array (like ``__shared__ T name[...]``)."""
-        prec, nbytes = self._check_allocate(name, shape, precision)
-        array = np.zeros(shape, dtype=prec.numpy_dtype)
+        array = np.zeros((self.num_blocks,) + tuple(shape), dtype=prec.numpy_dtype)
         shared = SharedArray(name=name, array=array, offset_bytes=self._used_bytes)
         self._arrays[name] = shared
-        self._used_bytes += nbytes
+        self._used_bytes += per_block
         return shared
 
     def get(self, name: str) -> SharedArray:
@@ -174,26 +138,3 @@ class SharedMemory:
             return self._arrays[name]
         except KeyError as exc:
             raise SimulationError(f"shared array {name!r} was never allocated") from exc
-
-    # -- access accounting -----------------------------------------------------
-    def record_load(self, shared: SharedArray, flat_indices: np.ndarray) -> Tuple[int, bool]:
-        """Account for one warp load; returns (conflict degree, is_broadcast)."""
-        degree = bank_conflict_degree(flat_indices, shared.array.itemsize,
-                                      self.banks, self.bank_bytes)
-        broadcast = bool(flat_indices.size > 0 and np.unique(flat_indices).size == 1)
-        if broadcast:
-            self.broadcast_count += 1
-        else:
-            self.access_count += degree
-            self.conflict_extra += max(0, degree - 1)
-        self.bytes_read += float(flat_indices.size * shared.array.itemsize)
-        return degree, broadcast
-
-    def record_store(self, shared: SharedArray, flat_indices: np.ndarray) -> int:
-        """Account for one warp store; returns the conflict degree."""
-        degree = bank_conflict_degree(flat_indices, shared.array.itemsize,
-                                      self.banks, self.bank_bytes)
-        self.access_count += degree
-        self.conflict_extra += max(0, degree - 1)
-        self.bytes_written += float(flat_indices.size * shared.array.itemsize)
-        return degree

@@ -13,52 +13,13 @@ from typing import Tuple
 import numpy as np
 
 
-def active_warp_count(mask: np.ndarray, warp_size: int = 32) -> int:
-    """Number of warps with at least one active lane under ``mask``."""
-    mask = np.asarray(mask, dtype=bool).reshape(-1)
-    if mask.size == 0:
-        return 0
-    pad = (-mask.size) % warp_size
-    if pad:
-        mask = np.concatenate([mask, np.zeros(pad, dtype=bool)])
-    grouped = mask.reshape(-1, warp_size)
-    return int(grouped.any(axis=1).sum())
-
-
-def divergent_warp_count(mask: np.ndarray, warp_size: int = 32) -> int:
-    """Number of warps whose lanes disagree under ``mask`` (partial warps)."""
-    mask = np.asarray(mask, dtype=bool).reshape(-1)
-    if mask.size == 0:
-        return 0
-    pad = (-mask.size) % warp_size
-    if pad:
-        # padding lanes do not exist on hardware; exclude them from the check
-        grouped_any = []
-        grouped_all = []
-        full = mask[: mask.size - (mask.size % warp_size)].reshape(-1, warp_size)
-        grouped_any.extend(full.any(axis=1).tolist())
-        grouped_all.extend(full.all(axis=1).tolist())
-        tail = mask[mask.size - (mask.size % warp_size):]
-        if tail.size:
-            grouped_any.append(bool(tail.any()))
-            grouped_all.append(bool(tail.all()))
-        any_arr = np.array(grouped_any)
-        all_arr = np.array(grouped_all)
-    else:
-        grouped = mask.reshape(-1, warp_size)
-        any_arr = grouped.any(axis=1)
-        all_arr = grouped.all(axis=1)
-    return int((any_arr & ~all_arr).sum())
-
-
 def grouped_warp_counts(lane_mask: np.ndarray, warp_size: int = 32) -> Tuple[int, int]:
     """``(active_warps, divergent_warps)`` for a batch of blocks at once.
 
     ``lane_mask`` has the lane axis last (e.g. shape ``(blocks, threads)``)
     and its last axis must be a multiple of the warp size; the counts are
-    summed over every warp of every leading index.  This is the vectorised
-    form of :func:`active_warp_count` / :func:`divergent_warp_count` used by
-    the batched execution engine.
+    summed over every warp of every leading index.  A warp is active when
+    any of its lanes is, and divergent when its lanes disagree.
     """
     mask = np.asarray(lane_mask, dtype=bool)
     if mask.size == 0:
@@ -67,12 +28,3 @@ def grouped_warp_counts(lane_mask: np.ndarray, warp_size: int = 32) -> Tuple[int
     any_arr = grouped.any(axis=1)
     all_arr = grouped.all(axis=1)
     return int(any_arr.sum()), int((any_arr & ~all_arr).sum())
-
-
-def predicate_statistics(mask: np.ndarray, warp_size: int = 32) -> Tuple[int, int, float]:
-    """Return ``(active_warps, divergent_warps, active_lane_fraction)``."""
-    mask = np.asarray(mask, dtype=bool).reshape(-1)
-    active = active_warp_count(mask, warp_size)
-    divergent = divergent_warp_count(mask, warp_size)
-    fraction = float(mask.mean()) if mask.size else 0.0
-    return active, divergent, fraction

@@ -4,9 +4,8 @@ These functions reproduce the semantics of ``__shfl_up_sync`` and friends on
 arrays whose *last axis is the lane axis*.  They are pure functions so they
 can be unit-tested and property-tested independently of the block execution
 machinery, which wraps them with instruction accounting.  Leading axes are
-arbitrary: a ``(threads,)`` register vector from the legacy per-block engine
-and a ``(num_blocks, threads)`` vector from the batched engine shuffle
-identically, which is what lets both engines share one kernel body.
+arbitrary: a ``(threads,)`` vector and the block context's
+``(num_blocks, threads)`` register vectors shuffle identically.
 
 CUDA semantics reproduced here:
 
@@ -112,8 +111,8 @@ class Warp:
     """A single 32-lane warp holding named register vectors.
 
     This convenience wrapper is used by the micro-benchmarks and by unit
-    tests; the kernel execution path operates on whole thread blocks via
-    :class:`repro.gpu.block.BlockContext` and calls the module-level
+    tests; the kernel execution path operates on batches of thread blocks
+    via :class:`repro.gpu.block.BlockContext` and calls the module-level
     functions directly.
     """
 

@@ -106,8 +106,8 @@ def load_weights_to_shared(ctx: BlockContext, weights: DeviceBuffer, count: int,
 def broadcast_weight(ctx: BlockContext, smem, flat_index: int) -> np.ndarray:
     """Warp-uniform (broadcast) read of one staged weight.
 
-    The scalar index broadcasts to one lane per thread on both the legacy
-    and the batched execution engine.
+    The scalar index broadcasts to one lane per thread of every block in
+    the batch.
     """
     return ctx.load_shared(smem, np.int64(flat_index))
 

@@ -49,13 +49,12 @@ def _conv2d_ssam_block(ctx: BlockContext, src: DeviceBuffer, dst: DeviceBuffer,
                        filter_width: int, filter_height: int,
                        outputs_per_thread: int, anchor_x: int, anchor_y: int,
                        block_rows: int = 1) -> None:
-    """Listing 1, executed for one thread block (or a whole batch of blocks).
+    """Listing 1, executed for a batch of thread blocks (one or more).
 
-    Written against the broadcast contract shared by
-    :class:`~repro.gpu.block.BlockContext` and
-    :class:`~repro.gpu.batch.BatchedBlockContext`: block indices are scalars
-    on the legacy path and ``(num_blocks, 1)`` columns on the batched path,
-    so every index expression broadcasts to the context's register shape.
+    Written against the broadcast contract of
+    :class:`~repro.gpu.block.BlockContext`: block indices are
+    ``(num_blocks, 1)`` columns, so every index expression broadcasts to the
+    context's ``(num_blocks, block_threads)`` register shape.
 
     ``block_rows`` (R) selects the block shape: R=1 lays every warp along x
     (the paper's scheme, kept branch-for-branch identical here); R>1 splits
@@ -132,8 +131,8 @@ def ssam_convolve2d(image: np.ndarray, spec: ConvolutionSpec,
     Launch parameters left as ``None`` resolve through the default chain of
     :mod:`repro.core.launch_defaults` (paper constants P=4, B=128 for a
     direct call like this one).  Pass ``max_blocks`` to sample the grid when
-    only cost estimates are needed, and ``batch_size=1`` to force the legacy
-    per-block engine.  ``keep_output=True`` returns the (partial) output
+    only cost estimates are needed, and ``batch_size=1`` to run one block
+    per batch (the ``scalar`` engine).  ``keep_output=True`` returns the (partial) output
     buffer even for sampled runs — the executed blocks' results are exactly
     those of a full run; unexecuted blocks leave zeros.
     """

@@ -30,10 +30,10 @@ from ..errors import ConfigurationError
 from ..gpu.architecture import architecture_names
 from ..serialization import stable_digest
 
-#: execution engines a scenario may support: the legacy per-block SIMT loop,
-#: the vectorised multi-block engine, the compiled trace-replay engine, the
-#: closed-form instruction/traffic profile, and the Section 5 analytic
-#: performance model
+#: execution engines a scenario may support: the block context one block per
+#: batch (``scalar``) or memory-budgeted batches (``batched``), the compiled
+#: trace-replay engine, the closed-form instruction/traffic profile, and the
+#: Section 5 analytic performance model
 ENGINES: Tuple[str, ...] = ("scalar", "batched", "replay", "analytic", "model")
 
 #: engines that evaluate closed forms instead of executing the kernel; these

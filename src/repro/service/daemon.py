@@ -52,6 +52,7 @@ import json
 import os
 import re
 import threading
+import traceback
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Mapping, Optional, Tuple
@@ -139,6 +140,16 @@ class SweepService:
         re-run), ``missing`` cells were never computed.
         """
         sweep = _sweep_module()
+        # never a path: the daemon must not open files (or descriptors) a
+        # client names; matrix files are read client-side by the CLI
+        if not (matrix is None or isinstance(matrix, Mapping)
+                or (isinstance(matrix, str) and matrix in sweep.MATRICES)):
+            raise ConfigurationError(
+                f"unknown sweep matrix {matrix!r}; send a preset name "
+                f"{sorted(sweep.MATRICES)} or a JSON matrix object (to submit "
+                f"a matrix file use: ssam-repro submit --matrix FILE)")
+        if name is not None and not isinstance(name, str):
+            raise ConfigurationError(f"run name must be a string, got {name!r}")
         resolved = sweep.load_matrix(matrix)
         jobs = self._sweep_jobs(resolved)
         current = self.store.code_version()
@@ -569,6 +580,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._send_json({"error": str(exc)}, status=400)
         except SimulationError as exc:
             self._send_json({"error": str(exc)}, status=500)
+        except Exception as exc:  # a defect: report it, answer, keep serving
+            traceback.print_exc()
+            self._send_json({"error": f"internal error: {exc!r}"}, status=500)
 
     # -- GET -------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802
@@ -658,7 +672,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def _submit(self, refresh: bool) -> None:
         body = self._read_body()
         response = self.service.submit_sweep(
-            body.get("matrix"), priority=int(body.get("priority", 0)),
+            body.get("matrix"), priority=_priority(body),
             name=body.get("name"), refresh=refresh)
         self._send_json(response, status=202)
 
@@ -667,8 +681,17 @@ class ServiceHandler(BaseHTTPRequestHandler):
         response = self.service.submit_tune(
             body.get("options") or {k: v for k, v in body.items()
                                     if k != "priority"},
-            priority=int(body.get("priority", 0)))
+            priority=_priority(body))
         self._send_json(response, status=202)
+
+
+def _priority(body: Mapping[str, object]) -> int:
+    """The request's queue priority; anything but a JSON integer is a 400."""
+    priority = body.get("priority", 0)
+    if isinstance(priority, bool) or not isinstance(priority, int):
+        raise ConfigurationError(
+            f"priority must be an integer, got {priority!r}")
+    return priority
 
 
 class ServiceServer(ThreadingHTTPServer):

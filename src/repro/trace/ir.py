@@ -2,7 +2,7 @@
 
 A :class:`Trace` is built by :class:`~repro.trace.tracer.TracingContext`
 while the *first* batch chunk of a launch executes eagerly through the
-ordinary :class:`~repro.gpu.batch.BatchedBlockContext`.  Every context
+ordinary :class:`~repro.gpu.block.BlockContext`.  Every context
 operation and every NumPy expression the kernel body evaluates on traced
 register vectors appends one :class:`Node`.  The recording is therefore a
 straight-line program: kernel bodies unroll their (host-side) loops over

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..errors import LaunchError, SimulationError
 from ..gpu.architecture import GPUArchitecture, get_architecture
-from ..gpu.batch import BatchedBlockContext
+from ..gpu.block import BlockContext
 from ..gpu.counters import KernelCounters
 from ..gpu.kernel import LaunchResult, auto_batch_size
 from ..gpu.memory import (
@@ -1394,7 +1394,7 @@ def record_trace(kernel, config, args, architecture: GPUArchitecture,
     The chunk is fully simulated (counters, traffic, buffer writes) with the
     batched engine's semantics while the trace is captured.
     """
-    eager = BatchedBlockContext(
+    eager = BlockContext(
         block_indices=block_indices,
         grid_dim=config.grid_dim,
         block_threads=config.block_threads,

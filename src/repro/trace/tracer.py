@@ -1,9 +1,9 @@
 """Recording pass: execute a kernel body once, capture its op stream.
 
 :class:`TracingContext` presents the same interface as
-:class:`~repro.gpu.batch.BatchedBlockContext` but returns
+:class:`~repro.gpu.block.BlockContext` but returns
 :class:`TracerArray` handles from every operation.  Each handle pairs a
-*concrete* value — produced by delegating to a real batched context, so the
+*concrete* value — produced by delegating to a real block context, so the
 recording chunk is simulated with exactly the eager engine's semantics and
 counter accounting — with the id of the IR node that produced it.  NumPy
 expressions the kernel body applies to handles (``+``, ``np.minimum``,
@@ -192,7 +192,7 @@ class SharedTracer:
 
 
 class TracingContext:
-    """Drop-in context that records while delegating to a batched context."""
+    """Drop-in context that records while delegating to a block context."""
 
     def __init__(self, eager, trace: Trace):
         self._eager = eager

@@ -1,10 +1,13 @@
-"""Differential tests: the batched engine vs. the legacy per-block engine.
+"""Differential tests: chunk-size invariance of the block engine.
 
-Every test runs the same kernel twice — once with ``batch_size=1`` (the
-legacy :class:`~repro.gpu.block.BlockContext` loop) and once with the
-batched engine — and asserts **bit-identical** outputs plus **identical**
+Every test runs the same kernel twice — once with ``batch_size=1`` (one
+block per :class:`~repro.gpu.block.BlockContext`, the ``scalar`` engine;
+the tests keep its older name "legacy") and once with multi-block batches —
+and asserts **bit-identical** outputs plus **identical**
 :class:`~repro.gpu.counters.KernelCounters`.  Domains are chosen so that
-grids contain partial/masked edge blocks in every dimension.
+grids contain partial/masked edge blocks in every dimension.  The counters
+themselves are checked against brute-force oracles in
+``test_counter_oracles.py``.
 """
 
 import numpy as np
@@ -21,7 +24,7 @@ from repro.gpu.kernel import (
 )
 from repro.errors import LaunchError
 from repro.gpu.memory import GlobalMemory, rowwise_unique_counts
-from repro.gpu.shared_memory import bank_conflict_degree, bank_conflict_profile
+from repro.gpu.shared_memory import bank_conflict_profile
 from repro.kernels.conv1d_ssam import ssam_convolve1d
 from repro.kernels.conv2d_ssam import ssam_convolve2d
 from repro.kernels.scan_ssam import ssam_scan
@@ -29,6 +32,8 @@ from repro.kernels.stencil2d_ssam import ssam_stencil2d
 from repro.kernels.stencil3d_ssam import ssam_stencil3d
 from repro.stencils.catalog import get_stencil
 from repro.workloads import random_grid_3d, random_image, sequence
+
+from test_counter_oracles import oracle_bank_degree
 
 
 def assert_equivalent(legacy, batched):
@@ -198,8 +203,7 @@ def test_auto_batch_size_bounds():
 
 def test_traffic_tracker_compaction_is_exact():
     """Folding pending line matrices early must not change unique-line bytes."""
-    from repro.gpu.batch import BatchedTrafficTracker
-    from repro.gpu.memory import DeviceBuffer
+    from repro.gpu.memory import BatchedTrafficTracker, DeviceBuffer
 
     buf = DeviceBuffer(array=np.zeros(4096, dtype=np.float32))
     rng = np.random.default_rng(0)
@@ -237,6 +241,7 @@ def test_bank_conflict_profile_matches_scalar_degree(itemsize):
     degrees, broadcasts, active = bank_conflict_profile(indices, itemsize, mask=mask)
     for r in range(indices.shape[0]):
         row = indices[r][mask[r]]
-        assert degrees[r] == bank_conflict_degree(row, itemsize)
+        degree, broadcast = oracle_bank_degree(row, itemsize) if row.size else (0, False)
+        assert degrees[r] == degree
         assert active[r] == row.size
-        assert broadcasts[r] == bool(row.size and np.unique(row).size == 1)
+        assert broadcasts[r] == broadcast

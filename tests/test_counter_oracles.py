@@ -1,19 +1,26 @@
-"""Counter-oracle property tests for the memory-system accounting.
+"""Counter-oracle property tests for the execution engine's accounting.
 
-Seeded-random address streams are replayed through both execution engines
-(the legacy per-block :class:`~repro.gpu.block.BlockContext` and the
-vectorised :class:`~repro.gpu.batch.BatchedBlockContext`) and the counted
-quantities are checked against deliberately brute-force Python oracles:
+Seeded-random address streams are replayed through the block context
+(:class:`~repro.gpu.block.BlockContext`), once with one single-block context
+per block (how ``batch_size=1`` chunks a grid) and once with every block in
+one context, and the counted quantities are checked against deliberately
+brute-force Python oracles:
 
 * per-warp coalescing sectors (``gmem_load_transactions`` /
   ``gmem_store_transactions``),
 * per-block unique-line DRAM read traffic (``dram_read_bytes``),
 * shared-memory bank conflicts / broadcasts (``smem_bank_conflicts``,
-  ``smem_load``, ``smem_broadcast``).
+  ``smem_load``, ``smem_broadcast``),
+* active and divergent warps under lane masks (``gmem_load``,
+  ``gmem_store``, ``divergent_branches``),
+* byte counts (``cache_read_bytes``, ``dram_write_bytes``,
+  ``smem_read_bytes``, ``smem_write_bytes``), and
+* the per-warp instruction counts (shuffles, barriers, arithmetic).
 
 The oracles use nothing but Python sets/dicts and loops, so any bug in the
-segmented NumPy accounting paths shows up as a disagreement; additionally
-the two engines are cross-validated counter-for-counter.
+segmented NumPy accounting paths shows up as a disagreement;
+:func:`test_every_counter_matches_oracle` covers every
+:class:`~repro.gpu.counters.KernelCounters` field at once.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ import pytest
 
 from repro.dtypes import resolve_precision
 from repro.gpu.architecture import get_architecture
-from repro.gpu.batch import BatchedBlockContext
 from repro.gpu.block import BlockContext
 from repro.gpu.counters import KernelCounters
 from repro.gpu.memory import GlobalMemory
@@ -107,6 +113,22 @@ def oracle_smem_counts(accesses, itemsize, is_store):
     return ops, broadcasts, conflicts
 
 
+def oracle_warps(indices, mask):
+    """Brute force (active warps, divergent warps) of one block-wide access:
+    a warp is active when any lane is, divergent when its lanes disagree."""
+    active = divergent = 0
+    for w in range(0, len(indices), WARP_SIZE):
+        lanes = [mask is None or bool(mask[i]) for i in range(w, w + WARP_SIZE)]
+        active += any(lanes)
+        divergent += any(lanes) and not all(lanes)
+    return active, divergent
+
+
+def oracle_active_lanes(indices, mask):
+    """Brute force number of active lanes of one block-wide access."""
+    return sum(1 for i in range(len(indices)) if mask is None or mask[i])
+
+
 # ----------------------------------------------------------------- drivers
 
 def _stream(rng, high, mask_mode):
@@ -114,6 +136,10 @@ def _stream(rng, high, mask_mode):
     indices = rng.integers(0, high, size=BLOCK_THREADS, dtype=np.int64)
     if mask_mode == "none":
         return indices, None
+    if mask_mode == "warp-uniform":
+        # whole warps on or off: active < all warps, but nothing diverges
+        warps = rng.random(BLOCK_THREADS // WARP_SIZE) < 0.5
+        return indices, np.repeat(warps, WARP_SIZE)
     mask = rng.random(BLOCK_THREADS) < 0.7
     if mask_mode == "dead-warp":
         mask[:WARP_SIZE] = False  # a fully inactive warp must count nothing
@@ -137,28 +163,30 @@ def _make_streams(seed, high, patterns=("random",)):
     if "strided" in patterns:
         strided = (np.arange(BLOCK_THREADS, dtype=np.int64) * 2) % high
         streams.append([(strided, None) for _ in range(NUM_BLOCKS)])
+    if "warp-uniform" in patterns:
+        streams.append([_stream(rng, high, "warp-uniform")
+                        for _ in range(NUM_BLOCKS)])
     return streams
 
 
-def _legacy_contexts(arch, counters, precision):
+def _contexts(engine, arch, counters, precision):
+    """``(context, blocks)`` pairs splitting the NUM_BLOCKS blocks by engine."""
+    groups = ([[b] for b in range(NUM_BLOCKS)] if engine == "legacy"
+              else [list(range(NUM_BLOCKS))])
     return [
-        BlockContext(block_idx=(b, 0, 0), grid_dim=(NUM_BLOCKS, 1, 1),
-                     block_threads=BLOCK_THREADS, architecture=arch,
-                     counters=counters, precision=precision)
-        for b in range(NUM_BLOCKS)
+        (BlockContext(block_indices=[(b, 0, 0) for b in blocks],
+                      grid_dim=(NUM_BLOCKS, 1, 1),
+                      block_threads=BLOCK_THREADS, architecture=arch,
+                      counters=counters, precision=precision), blocks)
+        for blocks in groups
     ]
 
 
-def _batched_context(arch, counters, precision):
-    block_indices = np.array([(b, 0, 0) for b in range(NUM_BLOCKS)], dtype=np.int64)
-    return BatchedBlockContext(block_indices=block_indices,
-                               grid_dim=(NUM_BLOCKS, 1, 1),
-                               block_threads=BLOCK_THREADS, architecture=arch,
-                               counters=counters, precision=precision)
-
-
-def _batch_matrix(per_block, pick):
-    return np.stack([pick(entry) for entry in per_block])
+def _operands(per_block, blocks):
+    """One access's ``(indices, mask)`` matrices for a context's blocks."""
+    indices = np.stack([per_block[b][0] for b in blocks])
+    masks = [per_block[b][1] for b in blocks]
+    return indices, None if masks[0] is None else np.stack(masks)
 
 
 def _run_global(engine, arch, precision, streams, store=False):
@@ -166,22 +194,9 @@ def _run_global(engine, arch, precision, streams, store=False):
     counters = KernelCounters()
     memory = GlobalMemory()
     buffer = memory.allocate((BUFFER_ELEMENTS,), precision, name="g")
-    if engine == "legacy":
-        contexts = _legacy_contexts(arch, counters, precision)
+    for ctx, blocks in _contexts(engine, arch, counters, precision):
         for per_block in streams:
-            for ctx, (indices, mask) in zip(contexts, per_block):
-                if store:
-                    ctx.store_global(buffer, indices, np.float64(1.0), mask=mask)
-                else:
-                    ctx.load_global(buffer, indices, mask=mask)
-        for ctx in contexts:
-            ctx.finalize()
-    else:
-        ctx = _batched_context(arch, counters, precision)
-        for per_block in streams:
-            indices = _batch_matrix(per_block, lambda e: e[0])
-            masks = [mask for _, mask in per_block]
-            mask = None if masks[0] is None else np.stack(masks)
+            indices, mask = _operands(per_block, blocks)
             if store:
                 ctx.store_global(buffer, indices, np.float64(1.0), mask=mask)
             else:
@@ -192,22 +207,10 @@ def _run_global(engine, arch, precision, streams, store=False):
 
 def _run_shared(engine, arch, precision, streams, store=False):
     counters = KernelCounters()
-    if engine == "legacy":
-        contexts = _legacy_contexts(arch, counters, precision)
-        shared = [ctx.alloc_shared("s", (SMEM_ELEMENTS,)) for ctx in contexts]
-        for per_block in streams:
-            for ctx, smem, (indices, mask) in zip(contexts, shared, per_block):
-                if store:
-                    ctx.store_shared(smem, indices, np.float64(1.0), mask=mask)
-                else:
-                    ctx.load_shared(smem, indices, mask=mask)
-    else:
-        ctx = _batched_context(arch, counters, precision)
+    for ctx, blocks in _contexts(engine, arch, counters, precision):
         smem = ctx.alloc_shared("s", (SMEM_ELEMENTS,))
         for per_block in streams:
-            indices = _batch_matrix(per_block, lambda e: e[0])
-            masks = [mask for _, mask in per_block]
-            mask = None if masks[0] is None else np.stack(masks)
+            indices, mask = _operands(per_block, blocks)
             if store:
                 ctx.store_shared(smem, indices, np.float64(1.0), mask=mask)
             else:
@@ -215,6 +218,10 @@ def _run_shared(engine, arch, precision, streams, store=False):
     return counters
 
 
+#: how the NUM_BLOCKS blocks are split into contexts: "legacy" gives every
+#: block a one-block context (how ``batch_size=1``, the ``scalar`` engine,
+#: chunks a grid; the id is older than the single block engine), "batched"
+#: puts them all in one context
 ENGINES = ("legacy", "batched")
 SEEDS = (0, 1, 2)
 
@@ -239,7 +246,7 @@ def test_coalescing_sectors_match_oracle(engine, seed, precision_name):
     # a fully coalesced float32 warp access is exactly one 128-byte sector
     if precision_name == "float32":
         solo = KernelCounters()
-        ctx = BlockContext((0, 0, 0), (1, 1, 1), BLOCK_THREADS, arch, solo, precision)
+        ctx = BlockContext([(0, 0, 0)], (1, 1, 1), BLOCK_THREADS, arch, solo, precision)
         memory = GlobalMemory()
         buffer = memory.allocate((BUFFER_ELEMENTS,), precision)
         ctx.load_global(buffer, np.arange(BLOCK_THREADS, dtype=np.int64))
@@ -317,7 +324,8 @@ def test_bank_conflicts_on_stores_match_oracle(engine, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("precision_name", ["float32", "float64"])
 def test_engines_agree_counter_for_counter(seed, precision_name):
-    """The legacy and batched engines must agree on every counter."""
+    """One-block contexts and one whole-batch context must agree on every
+    counter."""
     arch = get_architecture("p100")
     precision = resolve_precision(precision_name)
     gstreams = _make_streams(seed, BUFFER_ELEMENTS,
@@ -328,3 +336,129 @@ def test_engines_agree_counter_for_counter(seed, precision_name):
         legacy = runner("legacy", arch, precision, streams)
         batched = runner("batched", arch, precision, streams)
         assert legacy.as_dict() == batched.as_dict()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_active_and_divergent_warps_match_oracle(engine, seed):
+    arch = get_architecture("p100")
+    precision = resolve_precision("float32")
+    streams = _make_streams(seed, BUFFER_ELEMENTS, patterns=("warp-uniform",))
+    expected = [oracle_warps(indices, mask)
+                for per_block in streams for indices, mask in per_block]
+    active = sum(a for a, _ in expected)
+    divergent = sum(d for _, d in expected)
+    loads = _run_global(engine, arch, precision, streams)
+    stores = _run_global(engine, arch, precision, streams, store=True)
+    assert loads.gmem_load == stores.gmem_store == active
+    assert loads.divergent_branches == stores.divergent_branches == divergent
+    assert 0 < divergent < active < NUM_BLOCKS * NUM_ACCESSES * 3
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("precision_name", ["float32", "float64"])
+def test_byte_counts_match_oracle(engine, seed, precision_name):
+    arch = get_architecture("v100")
+    precision = resolve_precision(precision_name)
+    streams = _make_streams(seed, SMEM_ELEMENTS, patterns=("warp-uniform",))
+    lanes = sum(oracle_active_lanes(indices, mask)
+                for per_block in streams for indices, mask in per_block)
+    nbytes = lanes * precision.itemsize
+    assert _run_global(engine, arch, precision, streams).cache_read_bytes == nbytes
+    assert _run_global(engine, arch, precision, streams,
+                       store=True).dram_write_bytes == nbytes
+    assert _run_shared(engine, arch, precision, streams).smem_read_bytes == nbytes
+    assert _run_shared(engine, arch, precision, streams,
+                       store=True).smem_write_bytes == nbytes
+
+
+# ------------------------------------------------- the whole counter set
+
+SHUFFLES, OVERHEAD, UNIFORM_INDEX = 3, 5.0, 5
+
+
+def _run_program(engine, arch, precision, gstreams, sstreams):
+    """Every counted operation of the context, on every block."""
+    counters = KernelCounters()
+    memory = GlobalMemory()
+    source = memory.allocate((BUFFER_ELEMENTS,), precision, name="src")
+    target = memory.allocate((BUFFER_ELEMENTS,), precision, name="dst")
+    for ctx, blocks in _contexts(engine, arch, counters, precision):
+        for per_block in gstreams:
+            indices, mask = _operands(per_block, blocks)
+            values = ctx.load_global(source, indices, mask=mask)
+            ctx.store_global(target, indices, values, mask=mask)
+        smem = ctx.alloc_shared("s", (SMEM_ELEMENTS,))
+        for per_block in sstreams:
+            indices, mask = _operands(per_block, blocks)
+            ctx.store_shared(smem, indices, np.float64(1.0), mask=mask)
+            ctx.syncthreads()
+            ctx.load_shared(smem, indices, mask=mask)
+        ctx.load_shared(smem, np.int64(UNIFORM_INDEX))  # warp-uniform read
+        lanes = ctx.thread_idx_x.astype(ctx.numpy_dtype)
+        shuffled = ctx.shfl_down(ctx.shfl_up(lanes, 1), 2)
+        shuffled = ctx.shfl_idx(shuffled, 0)
+        ctx.syncthreads()
+        ctx.mad(shuffled, shuffled, ctx.add(shuffled, ctx.mul(lanes, lanes)))
+        ctx.overhead(OVERHEAD)
+        ctx.finalize()
+    return counters
+
+
+def oracle_counters(gstreams, sstreams, itemsize):
+    """Brute force value of every counter for :func:`_run_program`."""
+    warps = BLOCK_THREADS // WARP_SIZE
+    expected = dict.fromkeys(KernelCounters().as_dict(), 0)
+    expected["blocks_executed"] = NUM_BLOCKS
+    expected["warps_executed"] = NUM_BLOCKS * warps
+    for per_block in gstreams:
+        for indices, mask in per_block:
+            active, divergent = oracle_warps(indices, mask)
+            sectors = oracle_warp_sectors(list(indices), mask, itemsize)
+            lanes = oracle_active_lanes(indices, mask)
+            expected["gmem_load"] += active
+            expected["gmem_store"] += active
+            expected["divergent_branches"] += 2 * divergent
+            expected["gmem_load_transactions"] += sectors
+            expected["gmem_store_transactions"] += sectors
+            expected["cache_read_bytes"] += lanes * itemsize
+            expected["dram_write_bytes"] += lanes * itemsize
+    expected["dram_read_bytes"] = sum(
+        oracle_unique_line_bytes([per_block[b] for per_block in gstreams],
+                                 itemsize)
+        for b in range(NUM_BLOCKS))
+    accesses = [(list(indices), mask)
+                for per_block in sstreams for indices, mask in per_block]
+    uniform = [([UNIFORM_INDEX] * BLOCK_THREADS, None)] * NUM_BLOCKS
+    stores, _, store_conflicts = oracle_smem_counts(accesses, itemsize,
+                                                    is_store=True)
+    loads, broadcasts, load_conflicts = oracle_smem_counts(
+        accesses + uniform, itemsize, is_store=False)
+    lanes = sum(oracle_active_lanes(indices, mask) for indices, mask in accesses)
+    expected.update(smem_store=stores, smem_load=loads,
+                    smem_broadcast=broadcasts,
+                    smem_bank_conflicts=store_conflicts + load_conflicts,
+                    smem_read_bytes=(lanes + NUM_BLOCKS * BLOCK_THREADS) * itemsize,
+                    smem_write_bytes=lanes * itemsize)
+    per_warp = NUM_BLOCKS * warps
+    expected["shfl"] = SHUFFLES * per_warp
+    expected["sync"] = (len(sstreams) + 1) * per_warp
+    expected["fma"] = expected["add"] = expected["mul"] = per_warp
+    expected["misc"] = OVERHEAD * per_warp
+    return expected
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("precision_name", ["float32", "float64"])
+def test_every_counter_matches_oracle(engine, seed, precision_name):
+    arch = get_architecture("p100")
+    precision = resolve_precision(precision_name)
+    gstreams = _make_streams(seed, BUFFER_ELEMENTS,
+                             patterns=("contiguous", "strided", "warp-uniform"))
+    sstreams = _make_streams(seed + 100, SMEM_ELEMENTS,
+                             patterns=("broadcast", "strided", "warp-uniform"))
+    counters = _run_program(engine, arch, precision, gstreams, sstreams)
+    assert counters.as_dict() == oracle_counters(gstreams, sstreams,
+                                                 precision.itemsize)

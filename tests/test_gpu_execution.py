@@ -19,7 +19,7 @@ from repro.gpu.microbench import (
 )
 from repro.gpu.occupancy import compute_occupancy
 from repro.gpu.profiler import estimate_time
-from repro.gpu.simt import active_warp_count, divergent_warp_count, predicate_statistics
+from repro.gpu.simt import grouped_warp_counts
 
 
 # --- occupancy ---------------------------------------------------------------
@@ -82,11 +82,9 @@ def test_counters_round_trip_dict():
 def test_active_and_divergent_warps():
     mask = np.zeros(96, dtype=bool)
     mask[:40] = True  # warp0 full, warp1 partial, warp2 empty
-    assert active_warp_count(mask) == 2
-    assert divergent_warp_count(mask) == 1
-    active, divergent, fraction = predicate_statistics(mask)
-    assert (active, divergent) == (2, 1)
-    assert fraction == pytest.approx(40 / 96)
+    assert grouped_warp_counts(mask) == (2, 1)
+    # summed over every block of a batch
+    assert grouped_warp_counts(np.stack([mask, ~mask])) == (4, 2)
 
 
 # --- block context / kernel launch ---------------------------------------------
@@ -140,7 +138,7 @@ def test_block_context_bounds_checking():
     memory = GlobalMemory()
     buf = memory.allocate((10,), "float32")
     counters = KernelCounters()
-    ctx = BlockContext((0, 0, 0), (1, 1, 1), 32, TESLA_P100, counters,
+    ctx = BlockContext([(0, 0, 0)], (1, 1, 1), 32, TESLA_P100, counters,
                        resolve_precision("float32"))
     with pytest.raises(SimulationError):
         ctx.load_global(buf, np.full(32, 100, dtype=np.int64))
@@ -150,15 +148,16 @@ def test_block_context_bounds_checking():
 
 def test_block_context_shuffle_and_shared_roundtrip():
     counters = KernelCounters()
-    ctx = BlockContext((0, 0, 0), (1, 1, 1), 64, TESLA_P100, counters,
+    ctx = BlockContext([(0, 0, 0)], (1, 1, 1), 64, TESLA_P100, counters,
                        resolve_precision("float32"))
     values = ctx.thread_idx_x.astype(np.float32)
     shifted = ctx.shfl_up(values, 1)
-    assert shifted[33] == 32.0 and shifted[32] == 32.0
+    assert shifted.shape == (1, 64)  # (num_blocks, threads)
+    assert shifted[0, 33] == 32.0 and shifted[0, 32] == 32.0
     smem = ctx.alloc_shared("buf", (64,))
     ctx.store_shared(smem, ctx.thread_idx_x, values)
     loaded = ctx.load_shared(smem, ctx.thread_idx_x[::-1].copy())
-    np.testing.assert_array_equal(loaded, values[::-1])
+    np.testing.assert_array_equal(loaded[0], values[::-1])
     assert counters.shfl == 2
     assert counters.smem_store == 2
     ctx.syncthreads()

@@ -5,48 +5,71 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dtypes import resolve_precision
 from repro.errors import ResourceExhaustedError, SimulationError
+from repro.gpu.architecture import TESLA_P100
+from repro.gpu.block import BlockContext
+from repro.gpu.counters import KernelCounters
 from repro.gpu.memory import (
-    BlockTrafficTracker,
+    BatchedTrafficTracker,
     DeviceBuffer,
     GlobalMemory,
-    coalesced_transactions,
+    coalesced_transactions_matrix,
     linear_index_2d,
     linear_index_3d,
 )
-from repro.gpu.shared_memory import SharedMemory, bank_conflict_degree
+from repro.gpu.shared_memory import SharedMemory, bank_conflict_profile
+
+
+def _sectors(indices, itemsize):
+    """Sectors of one warp access: a one-row sector matrix."""
+    return coalesced_transactions_matrix(
+        np.asarray(indices, dtype=np.int64)[None, :], itemsize)
+
+
+def _degree(indices, itemsize):
+    """Conflict degree of one warp access: a one-row bank profile."""
+    degrees, _, _ = bank_conflict_profile(
+        np.asarray(indices, dtype=np.int64)[None, :], itemsize)
+    return int(degrees[0])
+
+
+def _record_read(tracker, buffer, indices):
+    """Record one single-block read of ``indices`` (as cache lines)."""
+    lines = (np.asarray(indices, dtype=np.int64)[None, :] * buffer.itemsize) // 128
+    tracker.record_read(buffer, lines, None)
 
 
 # --- coalescing -----------------------------------------------------------
 
 def test_contiguous_float32_access_is_one_transaction():
     indices = np.arange(32)
-    assert coalesced_transactions(indices, 4) == 1
+    assert _sectors(indices, 4) == 1
 
 
 def test_contiguous_float64_access_is_two_transactions():
     indices = np.arange(32)
-    assert coalesced_transactions(indices, 8) == 2
+    assert _sectors(indices, 8) == 2
 
 
 def test_strided_access_inflates_transactions():
     indices = np.arange(32) * 32  # one element per cache line
-    assert coalesced_transactions(indices, 4) == 32
+    assert _sectors(indices, 4) == 32
 
 
 def test_broadcast_access_is_one_transaction():
-    assert coalesced_transactions(np.zeros(32, dtype=np.int64), 4) == 1
+    assert _sectors(np.zeros(32, dtype=np.int64), 4) == 1
 
 
 def test_empty_access_has_no_transactions():
-    assert coalesced_transactions(np.array([], dtype=np.int64), 4) == 0
+    assert _sectors(np.array([], dtype=np.int64), 4) == 0
 
 
 @settings(max_examples=40, deadline=None)
 @given(start=st.integers(min_value=0, max_value=10_000))
 def test_aligned_warp_load_never_exceeds_two_sectors(start):
     indices = np.arange(start, start + 32)
-    assert 1 <= coalesced_transactions(indices, 4) <= 2
+    assert 1 <= _sectors(indices, 4) <= 2
 
 
 # --- global memory ---------------------------------------------------------
@@ -71,17 +94,17 @@ def test_to_device_copies_data():
 
 def test_block_traffic_tracker_unique_lines():
     buf = DeviceBuffer(array=np.zeros(1024, dtype=np.float32))
-    tracker = BlockTrafficTracker()
-    tracker.record_read(buf, np.arange(32))          # one 128 B line
-    tracker.record_read(buf, np.arange(32))          # same line again: free
-    tracker.record_read(buf, np.arange(32, 64))      # a second line
+    tracker = BatchedTrafficTracker(1)
+    _record_read(tracker, buf, np.arange(32))          # one 128 B line
+    _record_read(tracker, buf, np.arange(32))          # same line again: free
+    _record_read(tracker, buf, np.arange(32, 64))      # a second line
     assert tracker.finalize() == 256.0
 
 
 def test_cached_buffers_generate_no_dram_traffic():
     buf = DeviceBuffer(array=np.zeros(1024, dtype=np.float32), cached=True)
-    tracker = BlockTrafficTracker()
-    tracker.record_read(buf, np.arange(64))
+    tracker = BatchedTrafficTracker(1)
+    _record_read(tracker, buf, np.arange(64))
     assert tracker.finalize() == 0.0
 
 
@@ -93,22 +116,22 @@ def test_linear_index_helpers():
 # --- shared memory ----------------------------------------------------------
 
 def test_bank_conflict_free_for_contiguous_access():
-    assert bank_conflict_degree(np.arange(32), 4) == 1
+    assert _degree(np.arange(32), 4) == 1
 
 
 def test_bank_conflict_degree_for_strided_access():
     # stride 32 floats: every lane hits bank 0 -> 32-way conflict
-    assert bank_conflict_degree(np.arange(32) * 32, 4) == 32
+    assert _degree(np.arange(32) * 32, 4) == 32
     # stride 2: 2-way conflict
-    assert bank_conflict_degree(np.arange(32) * 2, 4) == 2
+    assert _degree(np.arange(32) * 2, 4) == 2
 
 
 def test_broadcast_is_conflict_free():
-    assert bank_conflict_degree(np.full(32, 7), 4) == 1
+    assert _degree(np.full(32, 7), 4) == 1
 
 
 def test_shared_memory_allocation_and_limits():
-    smem = SharedMemory(capacity_bytes=256)
+    smem = SharedMemory(num_blocks=1, capacity_bytes=256)
     arr = smem.allocate("a", (32,), "float32")
     assert arr.nbytes == 128
     with pytest.raises(ResourceExhaustedError):
@@ -120,23 +143,25 @@ def test_shared_memory_allocation_and_limits():
 
 
 def test_shared_memory_access_accounting():
-    smem = SharedMemory(capacity_bytes=4096)
-    arr = smem.allocate("tile", (512,), "float32")
-    degree, broadcast = smem.record_load(arr, np.full(32, 3))
-    assert broadcast and degree == 1
-    degree, broadcast = smem.record_load(arr, np.arange(32) * 2)
-    assert not broadcast and degree == 2
-    assert smem.conflict_extra == 1
-    assert smem.record_store(arr, np.arange(32)) == 1
-    assert smem.bytes_written == 32 * 4
+    counters = KernelCounters()
+    ctx = BlockContext([(0, 0, 0)], (1, 1, 1), 32, TESLA_P100, counters,
+                       resolve_precision("float32"))
+    arr = ctx.alloc_shared("tile", (512,))
+    ctx.load_shared(arr, np.full(32, 3))      # broadcast: no bank access
+    assert counters.smem_broadcast == 1 and counters.smem_load == 0
+    ctx.load_shared(arr, np.arange(32) * 2)   # 2-way conflict
+    assert counters.smem_load == 2 and counters.smem_bank_conflicts == 1
+    ctx.store_shared(arr, np.arange(32), np.ones(32))
+    assert counters.smem_store == 1 and counters.smem_bank_conflicts == 1
+    assert counters.smem_write_bytes == 32 * 4
 
 
 # --- fp64 parity against a brute-force oracle ------------------------------
 #
-# 8-byte elements occupy two consecutive 4-byte banks; both accounting paths
-# expand the access into its two word phases.  The oracle below recomputes
+# 8-byte elements occupy two consecutive 4-byte banks; the accounting path
+# expands the access into its two word phases.  The oracle below recomputes
 # the conflict degree the slow way — per phase, per bank, over the unique
-# byte addresses — so any drift in either fast path (or between them) fails.
+# byte addresses — so any drift in the vectorised path fails.
 
 def _oracle_degree(indices, itemsize, banks=32, bank_bytes=4):
     indices = np.asarray(indices, dtype=np.int64)
@@ -157,8 +182,6 @@ def _oracle_degree(indices, itemsize, banks=32, bank_bytes=4):
 
 @pytest.mark.parametrize("itemsize", [4, 8])
 def test_bank_conflict_paths_agree_with_oracle(itemsize):
-    from repro.gpu.shared_memory import bank_conflict_profile
-
     rng = np.random.default_rng(20260730)
     cases = [rng.integers(0, 96, size=int(rng.integers(1, 33)))
              for _ in range(300)]
@@ -167,7 +190,6 @@ def test_bank_conflict_paths_agree_with_oracle(itemsize):
               np.arange(32) * 32, np.full(32, 7), np.array([5])]
     for indices in cases:
         expected = _oracle_degree(indices, itemsize)
-        assert bank_conflict_degree(indices, itemsize) == expected, indices
         degrees, broadcasts, counts = bank_conflict_profile(
             np.asarray(indices, dtype=np.int64)[None, :], itemsize)
         assert int(degrees[0]) == expected, indices
@@ -181,13 +203,10 @@ def test_fp64_bank_conflicts_pin_known_degrees():
     and 16 share banks); stride-16 in elements lands every lane in one
     bank pair (32-way); a broadcast is always conflict-free.
     """
-    assert bank_conflict_degree(np.arange(32), 8) == 2
-    assert bank_conflict_degree(np.arange(32) * 16, 8) == 32
-    assert bank_conflict_degree(np.full(32, 11), 8) == 1
-    # the same accesses through the vectorised (batched-engine) path, with
-    # an inactive-lane mask thrown in
-    from repro.gpu.shared_memory import bank_conflict_profile
-
+    assert _degree(np.arange(32), 8) == 2
+    assert _degree(np.arange(32) * 16, 8) == 32
+    assert _degree(np.full(32, 11), 8) == 1
+    # the same accesses as one matrix, then with an inactive-lane mask
     rows = np.stack([np.arange(32), np.arange(32) * 16, np.full(32, 11)])
     degrees, broadcasts, _ = bank_conflict_profile(rows, 8)
     assert degrees.tolist() == [2, 32, 1]

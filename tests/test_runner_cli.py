@@ -176,6 +176,35 @@ def test_submit_without_a_running_daemon_is_a_clear_error(tmp_path):
                      "--cache-dir", str(tmp_path)])
 
 
+def test_submit_reads_a_matrix_file_client_side(monkeypatch, tmp_path, capsys):
+    """The daemon never opens client-named paths, so ``submit --matrix FILE``
+    loads the file itself and posts the matrix object."""
+    import json
+
+    from repro.service.client import ServiceClient
+
+    path = tmp_path / "mine.json"
+    matrix = {"scenarios": ["scan"], "architectures": ["p100"],
+              "precisions": ["float32"], "engines": ["model"],
+              "sizes": ["tiny"]}
+    path.write_text(json.dumps(matrix))
+    posted = []
+
+    def submit_sweep(self, spec, priority=0, name=None):
+        posted.append(spec)
+        return {"run_id": "sweep-0001-test", "cached": 0, "queued": 1}
+
+    monkeypatch.setattr(ServiceClient, "submit_sweep", submit_sweep)
+    url = ["--url", "http://127.0.0.1:9"]
+    assert runner.main(["submit", "--matrix", str(path)] + url) == 0
+    assert runner.main(["submit", "--matrix", "smoke"] + url) == 0
+    assert posted == [{**matrix, "name": "mine"}, "smoke"]
+    with pytest.raises(SystemExit) as excinfo:
+        runner.main(["submit", "--matrix", str(tmp_path / "missing.json")] + url)
+    assert excinfo.value.code == 2
+    assert "unknown sweep matrix" in capsys.readouterr().err
+
+
 def test_submit_end_to_end_against_a_live_daemon(capsys, tmp_path):
     """``ssam-repro submit --wait`` renders the same sweep report the batch
     CLI would, from a daemon reached by explicit ``--url``."""

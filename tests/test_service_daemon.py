@@ -263,3 +263,111 @@ def test_best_config_size_class_is_a_distinct_key(service):
                                   size_class="galactic")
     assert response["source"] == "paper"
     assert response["size_class"] == "galactic"
+
+
+# ------------------------------------------------- request validation
+
+def _probe(client, path, body):
+    """POST ``body`` (a JSON value) on a fresh connection and read until the
+    server closes it; returns ``(responses, status, decoded body)``."""
+    import socket
+    import urllib.parse
+
+    url = urllib.parse.urlparse(client.url)
+    payload = json.dumps(body).encode()
+    request = (f"POST {path} HTTP/1.1\r\nHost: {url.hostname}\r\n"
+               f"Content-Type: application/json\r\n"
+               f"Content-Length: {len(payload)}\r\nConnection: close\r\n\r\n"
+               ).encode() + payload
+    with socket.create_connection((url.hostname, url.port), timeout=30) as sock:
+        sock.sendall(request)
+        data = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            data += chunk
+    head, _, text = data.partition(b"\r\n\r\n")
+    status = int(head.split()[1]) if head else None
+    return data.count(b"HTTP/1.1 "), status, json.loads(text) if text else None
+
+
+def _assert_healthy(client, core):
+    """The daemon still answers and its store is intact."""
+    import sqlite3
+
+    assert client.health()["status"] == "ok"
+    assert isinstance(client.runs(), list)  # a store read through the daemon
+    with sqlite3.connect(core.store.path) as conn:
+        assert conn.execute("PRAGMA integrity_check").fetchone() == ("ok",)
+
+
+@pytest.mark.parametrize("matrix", [3, 4, 5, 6, 7, 8, 2.0, True, ["tier1"]])
+def test_non_object_matrix_is_a_400_and_no_descriptor_is_touched(service, matrix):
+    """An int matrix once reached ``os.path.isfile``/``open``, which treat it
+    as a file descriptor: the daemon read and closed its own sqlite fds."""
+    client, core, _, _ = service
+    responses, status, body = _probe(client, "/sweeps", {"matrix": matrix})
+    assert (responses, status) == (1, 400)
+    assert "unknown sweep matrix" in body["error"]
+    _assert_healthy(client, core)
+
+
+def test_matrix_path_is_a_400_and_the_file_is_not_read(service, tmp_path):
+    """The daemon never opens a path a client names, even a valid matrix
+    file: ``ssam-repro submit --matrix FILE`` reads files client-side."""
+    client, core, _, _ = service
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"scenarios": ["scan"], "architectures": ["p100"],
+                                "precisions": ["float32"],
+                                "engines": ["model"], "sizes": ["tiny"]}))
+    runs_before = len(client.runs())
+    for matrix in (str(path), "/etc/hostname"):
+        responses, status, body = _probe(client, "/sweeps", {"matrix": matrix})
+        assert (responses, status) == (1, 400), matrix
+        assert "submit --matrix FILE" in body["error"]
+    assert len(client.runs()) == runs_before
+    _assert_healthy(client, core)
+
+
+@pytest.mark.parametrize("route", ["/sweeps", "/refresh", "/tune"])
+@pytest.mark.parametrize("priority", ["high", "1", 1.5, True, None, [1]])
+def test_non_integer_priority_is_a_400(service, route, priority):
+    """``int("high")`` once raised out of the handler: the socket closed
+    with no response at all."""
+    client, core, _, _ = service
+    responses, status, body = _probe(client, route,
+                                     {"matrix": "smoke", "priority": priority})
+    assert (responses, status) == (1, 400)
+    assert "priority must be an integer" in body["error"]
+    _assert_healthy(client, core)
+
+
+def test_non_string_run_name_is_a_400(service):
+    client, core, _, _ = service
+    responses, status, body = _probe(client, "/sweeps",
+                                     {"matrix": "smoke", "name": {"a": 1}})
+    assert (responses, status) == (1, 400)
+    assert "run name must be a string" in body["error"]
+    _assert_healthy(client, core)
+
+
+def test_unexpected_handler_error_is_a_500_json_response(service, monkeypatch,
+                                                         capsys):
+    """A defect inside a handler is answered, not a dropped connection."""
+    import urllib.error
+    import urllib.request
+
+    client, core, _, _ = service
+
+    def broken():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(core, "scenario_index", broken)
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(client.url + "/scenarios", timeout=30)
+    assert excinfo.value.code == 500
+    assert "boom" in json.loads(excinfo.value.read())["error"]
+    assert "RuntimeError: boom" in capsys.readouterr().err
+    monkeypatch.undo()
+    _assert_healthy(client, core)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.gpu.batch import BatchedTrafficTracker
+from repro.gpu.memory import BatchedTrafficTracker
 from repro.gpu.memory import DeviceBuffer
 
 
